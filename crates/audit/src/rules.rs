@@ -250,24 +250,6 @@ fn fused_forward(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFindin
              directly; go through the fused layer-1 tables (prepare_inference)",
         ),
     ];
-    // quantized-table choke points: the SlotTable storage variants (and the
-    // f16 bit-shuffle helpers) may only be touched inside the grouped
-    // dequantize-on-accumulate kernel and the build/quantize helpers.
-    // Ad-hoc indexing of quantized tables anywhere else could bypass the
-    // canonical per-slot summation order that keeps quantized estimates a
-    // values-only (never order) deviation from the f32 golden path.
-    const QUANT_PATTERNS: &[&str] =
-        &["SlotTable::F16", "SlotTable::Int8", "f16_bits_to_f32(", "f32_to_f16_bits("];
-    const QUANT_FNS: &[&str] = &[
-        "accumulate_row",
-        "accumulate_row_scalar",
-        "accumulate_row_avx2",
-        "size_bytes",
-        "quantize_slot",
-        "f32_to_f16_bits",
-        "f16_bits_to_f32",
-    ];
-
     let mut out = Vec::new();
     for &(file, pat, msg) in checks {
         if relpath != file {
@@ -284,30 +266,6 @@ fn fused_forward(relpath: &str, lines: &[Line], st: &Structure) -> Vec<RawFindin
                 line: i,
                 snippet: line.code.trim().to_string(),
                 message: msg.to_string(),
-            });
-        }
-    }
-    if relpath == "crates/nn/src/made.rs" {
-        for (i, line) in lines.iter().enumerate() {
-            if !QUANT_PATTERNS.iter().any(|p| line.code.contains(p)) {
-                continue;
-            }
-            // enum/type declarations carry no table access; only code
-            // inside a non-allowlisted function is a bypass
-            let Some(f) = st.enclosing_fn(i) else { continue };
-            if f.is_test || QUANT_FNS.contains(&f.name.as_str()) {
-                continue;
-            }
-            out.push(RawFinding {
-                line: i,
-                snippet: line.code.trim().to_string(),
-                message: format!(
-                    "quantized fused-table storage touched in `{}`; all reads must \
-                     route through the grouped-summation choke point \
-                     (SlotTable::accumulate_row) or the quantize/build helpers so \
-                     the canonical per-slot summation order survives quantization",
-                    f.name
-                ),
             });
         }
     }

@@ -1,107 +1,63 @@
 //! Batch-inference throughput: queries/second and ms/query as the batch
-//! size grows, across fused-table precisions.
+//! size grows.
 //!
 //! Trains one IAM model on WISDM-like sensor data, then answers the same
 //! query pool through `estimate_batch_shared` in chunks of 1/16/64/256
 //! queries per call. Larger chunks amortise per-call overhead and give the
-//! prefix deduplication more identical all-MASK prefixes to collapse; the
-//! fused tables replace the per-row embedding gather + layer-1 GEMM by
-//! cached per-token hidden vectors. On top of the fused/off axis the sweep
-//! covers the three table precisions (`f32` / `f16` / `int8`): f32 is
-//! asserted bitwise identical to the unfused path, while the quantized
-//! variants are gated against a declared accuracy budget — the maximum
-//! q-error between any quantized estimate and its f32 counterpart over the
-//! whole pool must stay below `IAM_BENCH_QUANT_BUDGET`.
+//! prefix deduplication more identical all-MASK prefixes to collapse. Every
+//! estimate is a pure function of (model, query), so the bench first checks
+//! that the whole pool answered in one batch matches it answered query by
+//! query, bit for bit.
 //!
 //! Results go to `BENCH_inference.json` at the repository root.
 //!
 //! Environment knobs:
 //! - `IAM_BENCH_INFER_REQUESTS` — queries per configuration, default 1024.
-//! - `IAM_BENCH_QUANT_BUDGET` — max allowed q-error of f16/int8 estimates
-//!   vs f32 (default [`DEFAULT_QUANT_BUDGET`]). The bench aborts if a
-//!   quantized precision exceeds it.
-//! - `IAM_BENCH_SIMULATE_CORES` — run the shared batch path with this many
-//!   worker threads regardless of the physical core count (oversubscribed
-//!   on small hosts). Exercises the N-core sharding/determinism behaviour;
-//!   wall-clock numbers from a simulated run are NOT comparable to a real
-//!   N-core host, so the mode is stamped into the JSON next to
-//!   `host_parallelism`.
 
-use iam_core::{IamConfig, IamEstimator, TablePrecision};
+use iam_core::{IamConfig, IamEstimator};
 use iam_data::synth::Dataset;
-use iam_data::{q_error, RangeQuery, WorkloadConfig, WorkloadGenerator};
+use iam_data::{RangeQuery, WorkloadConfig, WorkloadGenerator};
 use std::time::Instant;
-
-/// Declared accuracy budget for the quantized table precisions: the largest
-/// q-error any f16/int8 estimate may show against its f32 counterpart on
-/// the bench pool. Chosen with headroom above the measured deltas (f16
-/// truncation keeps ~8 mantissa bits; int8 rows are affine over a 256-level
-/// grid) so a regression in the dequantize path trips the gate rather than
-/// drifting silently.
-const DEFAULT_QUANT_BUDGET: f64 = 1.05;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// One configuration's measurements.
+/// One batch size's measurements.
 struct Row {
     batch: usize,
-    fused: bool,
-    precision: &'static str,
     qps: f64,
     ms_per_query: f64,
-    max_qerr_delta: f64,
 }
 
-fn run_config(
-    est: &IamEstimator,
-    pool: &[RangeQuery],
-    requests: usize,
-    batch: usize,
-    threads: usize,
-) -> f64 {
+fn run_config(est: &IamEstimator, pool: &[RangeQuery], requests: usize, batch: usize) -> f64 {
     let t0 = Instant::now();
     let mut done = 0;
     while done < requests {
         let take = batch.min(requests - done);
         let chunk: Vec<RangeQuery> =
             (0..take).map(|i| pool[(done + i) % pool.len()].clone()).collect();
-        std::hint::black_box(est.estimate_batch_shared(&chunk, threads));
+        std::hint::black_box(est.estimate_batch_shared(&chunk, 1));
         done += take;
     }
     t0.elapsed().as_secs_f64()
 }
 
-fn write_json(rows: &[Row], requests: usize, budget: f64, simulated: Option<usize>) {
+fn write_json(rows: &[Row], requests: usize) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
-    // honesty metadata: numbers from a 1-core container are not comparable
-    // to a parallel host, so stamp what the run actually had — and whether
-    // the thread count was simulated rather than physical
+    // honesty metadata: numbers are only comparable across hosts with the
+    // same parallelism
     let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    match simulated {
-        Some(n) => s.push_str(&format!("  \"simulated_cores\": {n},\n")),
-        None => s.push_str("  \"simulated_cores\": null,\n"),
-    }
     s.push_str(&format!("  \"requests_per_config\": {requests},\n"));
-    s.push_str(&format!("  \"quant_budget\": {budget},\n"));
     s.push_str("  \"configs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"batch\": {}, \"fused_layer1\": {}, \"table_precision\": \"{}\", \
-             \"qps\": {:.1}, \"ms_per_query\": {:.4}, \"max_qerr_delta\": {:.6}}}{}\n",
+            "    {{\"batch\": {}, \"qps\": {:.1}, \"ms_per_query\": {:.4}}}{}\n",
             r.batch,
-            r.fused,
-            r.precision,
             r.qps,
             r.ms_per_query,
-            r.max_qerr_delta,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -114,17 +70,10 @@ fn write_json(rows: &[Row], requests: usize, budget: f64, simulated: Option<usiz
 
 fn main() {
     let requests = env_usize("IAM_BENCH_INFER_REQUESTS", 1024);
-    let budget = env_f64("IAM_BENCH_QUANT_BUDGET", DEFAULT_QUANT_BUDGET);
-    let simulated = std::env::var("IAM_BENCH_SIMULATE_CORES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    let threads = simulated.unwrap_or(1);
 
     let table = Dataset::Wisdm.generate(20_000, 42);
     let ncols = table.ncols();
-    let nrows = table.nrows();
-    println!("training IAM on {} ({} rows) …", Dataset::Wisdm.name(), nrows);
+    println!("training IAM on {} ({} rows) …", Dataset::Wisdm.name(), table.nrows());
     let cfg = IamConfig {
         components: 8,
         hidden: vec![48, 48],
@@ -134,83 +83,31 @@ fn main() {
         seed: 7,
         ..IamConfig::small()
     };
-    let mut est = IamEstimator::fit(&table, cfg);
+    let est = IamEstimator::fit(&table, cfg);
 
     let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 99);
     let pool: Vec<RangeQuery> =
         gen.gen_queries(256).iter().map(|q| q.normalize(ncols).unwrap().0).collect();
 
-    // the fused f32 path must never change a single bit of any estimate
-    est.set_fused_layer1(true);
-    est.set_table_precision(TablePrecision::F32);
-    let f32_ests = est.estimate_batch_shared(&pool, threads);
-    est.set_fused_layer1(false);
-    let without = est.estimate_batch_shared(&pool, threads);
-    for (i, (a, b)) in f32_ests.iter().zip(&without).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "fused f32 tables changed estimate {i}");
-    }
-
-    // the quantized precisions trade bits for speed; measure the worst
-    // q-error against the f32 estimates and gate it on the declared budget
-    est.set_fused_layer1(true);
-    let mut deltas = [("f32", 1.0f64), ("f16", 1.0), ("int8", 1.0)];
-    for (precision, slot) in [(TablePrecision::F16, 1usize), (TablePrecision::Int8, 2)] {
-        est.set_table_precision(precision);
-        let ests = est.estimate_batch_shared(&pool, threads);
-        let delta =
-            f32_ests.iter().zip(&ests).map(|(&f, &q)| q_error(f, q, nrows)).fold(1.0f64, f64::max);
-        println!("max q-error delta vs f32 [{}]: {delta:.6}", precision.name());
-        assert!(
-            delta <= budget,
-            "{} estimates exceed the quantization budget: {delta:.6} > {budget:.6}",
-            precision.name()
-        );
-        deltas[slot].1 = delta;
+    // batch composition must never change a single bit of any estimate
+    let batched = est.estimate_batch_shared(&pool, 1);
+    for (i, (q, b)) in pool.iter().zip(&batched).enumerate() {
+        let single = est.estimate_batch_shared(std::slice::from_ref(q), 1)[0];
+        assert_eq!(single.to_bits(), b.to_bits(), "batching changed estimate {i}");
     }
 
     // warm-up pass so page faults / buffer growth don't bias the first row
-    est.set_table_precision(TablePrecision::F32);
-    let _ = run_config(&est, &pool, requests.min(256), 64, threads);
+    let _ = run_config(&est, &pool, requests.min(256), 64);
 
-    match simulated {
-        Some(n) => println!(
-            "\nbatch inference — {requests} queries per config, SIMULATED {n}-core sharding"
-        ),
-        None => println!("\nbatch inference — {requests} queries per config, single thread"),
-    }
-    println!(
-        "{:<8}  {:<12}  {:>10}  {:>12}  {:>14}",
-        "batch", "tables", "q/s", "ms/query", "max qerr vs f32"
-    );
+    println!("\nbatch inference — {requests} queries per config, single thread");
+    println!("{:<8}  {:>10}  {:>12}", "batch", "q/s", "ms/query");
     let mut rows = Vec::new();
-    let configs: [(bool, &'static str, TablePrecision, f64); 4] = [
-        (false, "off", TablePrecision::F32, 1.0),
-        (true, "f32", TablePrecision::F32, 1.0),
-        (true, "f16", TablePrecision::F16, deltas[1].1),
-        (true, "int8", TablePrecision::Int8, deltas[2].1),
-    ];
-    for &(fused, label, precision, max_qerr_delta) in &configs {
-        est.set_fused_layer1(fused);
-        if fused {
-            est.set_table_precision(precision);
-        }
-        for &batch in &[1usize, 16, 64, 256] {
-            let secs = run_config(&est, &pool, requests, batch, threads);
-            let qps = requests as f64 / secs;
-            let ms = secs * 1000.0 / requests as f64;
-            println!(
-                "{:<8}  {:<12}  {:>10.1}  {:>12.4}  {:>14.6}",
-                batch, label, qps, ms, max_qerr_delta
-            );
-            rows.push(Row {
-                batch,
-                fused,
-                precision: label,
-                qps,
-                ms_per_query: ms,
-                max_qerr_delta,
-            });
-        }
+    for &batch in &[1usize, 16, 64, 256] {
+        let secs = run_config(&est, &pool, requests, batch);
+        let qps = requests as f64 / secs;
+        let ms = secs * 1000.0 / requests as f64;
+        println!("{:<8}  {:>10.1}  {:>12.4}", batch, qps, ms);
+        rows.push(Row { batch, qps, ms_per_query: ms });
     }
-    write_json(&rows, requests, budget, simulated);
+    write_json(&rows, requests);
 }

@@ -6,12 +6,6 @@
 //! per-configuration epoch time and rows/s to `BENCH_training.json` at the
 //! repository root. The thread count never changes the trained weights
 //! (see `iam_core::train`), so the sweep measures pure wall-time scaling.
-//!
-//! With `IAM_BENCH_SIMULATE_CORES=N` the default sweep extends through the
-//! powers of two up to N (oversubscribed when the host has fewer physical
-//! cores). That exercises the N-core sharding behaviour, but the wall-clock
-//! figures are not comparable to a real N-core host, so the simulated count
-//! is stamped into the JSON next to `host_parallelism`.
 
 use iam_bench::join_exp::JoinExperiment;
 use iam_bench::BenchScale;
@@ -29,28 +23,12 @@ struct SweepRow {
     final_ar_loss: f64,
 }
 
-fn simulated_cores() -> Option<usize> {
-    std::env::var("IAM_BENCH_SIMULATE_CORES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 fn sweep_threads() -> Vec<usize> {
     std::env::var("IAM_BENCH_THREAD_SWEEP")
         .ok()
         .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| match simulated_cores() {
-            Some(n) => {
-                let mut v: Vec<usize> =
-                    std::iter::successors(Some(1usize), |&t| (t < n).then(|| (t * 2).min(n)))
-                        .collect();
-                v.dedup();
-                v
-            }
-            None => vec![1, 2, 4],
-        })
+        .unwrap_or_else(|| vec![1, 2, 4])
 }
 
 fn run_sweep(table: &iam_data::Table, cfg: &IamConfig, epochs: usize) -> Vec<SweepRow> {
@@ -83,13 +61,8 @@ fn write_json(rows: &[SweepRow], nrows: usize) {
     s.push_str(&format!("  \"dataset_rows\": {nrows},\n"));
     s.push_str(&format!("  \"host_cores\": {cores},\n"));
     // same honesty marker BENCH_inference/BENCH_cluster carry: numbers are
-    // only comparable across runs on hosts with the same parallelism, and
-    // a simulated (oversubscribed) sweep is flagged as such
+    // only comparable across runs on hosts with the same parallelism
     s.push_str(&format!("  \"host_parallelism\": {cores},\n"));
-    match simulated_cores() {
-        Some(n) => s.push_str(&format!("  \"simulated_cores\": {n},\n")),
-        None => s.push_str("  \"simulated_cores\": null,\n"),
-    }
     s.push_str("  \"configs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(

@@ -151,10 +151,8 @@ impl IamEstimator {
     /// Draw `n` tuples from the model restricted to `plan`, returning slot
     /// values and importance weights (wildcard slots are *sampled from the
     /// full conditional* here, since the aggregate's target column may be
-    /// unconstrained). Immutable: forwards run through
-    /// [`iam_nn::MadeNet::forward_column_into`] with local scratch, so the
-    /// fused inference tables survive and concurrent callers never
-    /// contend.
+    /// unconstrained). Immutable: forwards run through the fused inference
+    /// tables with local scratch, so concurrent callers never contend.
     fn sample_region(
         &self,
         plan: &[SlotConstraint],
@@ -176,6 +174,7 @@ impl IamEstimator {
             .collect();
         let nslots = self.schema.nslots();
         let net = self.net_ref();
+        let tables = self.fused_tables();
         let mut scratch = InferScratch::new();
         let mut inputs: Vec<usize> = (0..n)
             .flat_map(|_| (0..nslots).map(|s| net.mask_token(s)).collect::<Vec<_>>())
@@ -189,7 +188,7 @@ impl IamEstimator {
             let width = net.domain_size(slot);
             // gather inputs (all rows still alive)
             let batch_inputs = inputs.clone();
-            net.forward_column_into(&mut scratch, &batch_inputs, n, slot, &mut logits);
+            net.forward_column_fused(tables, &mut scratch, &batch_inputs, n, slot, &mut logits);
             for row in 0..n {
                 if weights[row] <= 0.0 {
                     continue;

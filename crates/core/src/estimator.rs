@@ -9,7 +9,8 @@ use iam_data::{RangeQuery, SelectivityEstimator, Table};
 use iam_gmm::GmmSgdTrainer;
 use iam_nn::{Adam, AdamConfig, FusedTables, MadeConfig, MadeNet, Parameters};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
+use std::sync::OnceLock;
 
 /// The IAM selectivity estimator (GMMs + ResMADE + unbiased progressive
 /// sampling). With [`IamConfig::reduce_continuous`] = false it degrades to
@@ -25,7 +26,9 @@ pub struct IamEstimator {
     gmm_trainers: Vec<Option<GmmSgdTrainer>>,
     nrows: usize,
     rng: StdRng,
-    fused: Option<FusedTables>,
+    /// Fused embedding→layer-1 token tables of the current parameters;
+    /// emptied whenever parameters may change and rebuilt on first use.
+    fused: OnceLock<FusedTables>,
     pool: infer::ScratchPool,
     name: String,
     /// Loss curve, one entry per trained epoch.
@@ -66,7 +69,7 @@ impl IamEstimator {
             opt,
             gmm_trainers,
             nrows: table.nrows(),
-            fused: None,
+            fused: OnceLock::new(),
             pool: infer::ScratchPool::new(),
             name,
             stats: Vec::new(),
@@ -77,7 +80,7 @@ impl IamEstimator {
     /// Train for `epochs` additional epochs (resumable — Figure 6 evaluates
     /// the model between calls).
     pub fn train_epochs(&mut self, table: &Table, epochs: usize) {
-        self.fused = None; // parameters are about to change
+        self.fused.take(); // parameters are about to change
         for _ in 0..epochs {
             let s = train::train_epoch(
                 table,
@@ -104,52 +107,19 @@ impl IamEstimator {
         self.prepare_inference();
     }
 
-    /// (Re)build inference-only acceleration state: when
-    /// [`IamConfig::fused_layer1`] is on, precompute the per-(slot, token)
-    /// embedding→layer-1 contribution tables used by the fused forward
-    /// path, at [`IamConfig::table_precision`]. Called automatically after
-    /// training and after loading a persisted model; harmless to call
-    /// again. At the default `F32` precision estimates are bitwise
-    /// identical with or without the tables; `F16`/`Int8` trade a
-    /// bench-gated q-error delta for table size and speed. Because tables
-    /// are always quantized from a fresh f32 build, the golden f32 path
-    /// can always be rebuilt here — quantization never loses the source
-    /// parameters.
+    /// (Re)build the fused embedding→layer-1 token tables the inference
+    /// path forwards through (see [`FusedTables`]) and publish their size
+    /// as `iam_infer_table_bytes`. Called after training and after loading
+    /// a persisted model; estimate calls rebuild missing tables lazily, so
+    /// this only chooses when that cost is paid.
     pub fn prepare_inference(&mut self) {
-        let bytes = if self.cfg.fused_layer1 {
-            let tables = self.net.build_fused_tables_with(self.cfg.table_precision);
-            let bytes = tables.size_bytes();
-            self.fused = Some(tables);
-            bytes
-        } else {
-            self.fused = None;
-            0
-        };
-        probes::infer().table_bytes.set(bytes as i64);
+        self.fused = OnceLock::from(build_tables(&self.net));
     }
 
-    /// Toggle the fused embedding→layer-1 inference path at runtime
-    /// (rebuilds or drops the token tables immediately). A pure
-    /// speed/memory trade-off: estimates never change (tables are rebuilt
-    /// at the configured precision; the default `F32` is bit-exact).
-    pub fn set_fused_layer1(&mut self, on: bool) {
-        self.cfg.fused_layer1 = on;
-        self.prepare_inference();
-    }
-
-    /// Switch the fused-table storage precision at runtime and rebuild
-    /// the tables immediately. `TablePrecision::F32` always restores the
-    /// golden bit-exact path — quantization is applied to a fresh f32
-    /// build on every rebuild, so no precision round-trip can degrade it.
-    pub fn set_table_precision(&mut self, precision: crate::config::TablePrecision) {
-        self.cfg.table_precision = precision;
-        self.prepare_inference();
-    }
-
-    /// The storage precision of the live fused tables (`None` when the
-    /// fused path is off).
-    pub fn table_precision(&self) -> Option<crate::config::TablePrecision> {
-        self.fused.as_ref().map(|t| t.precision())
+    /// The fused tables of the current parameters, built on first use
+    /// after [`Self::net_mut`] or training emptied them.
+    pub(crate) fn fused_tables(&self) -> &FusedTables {
+        self.fused.get_or_init(|| build_tables(&self.net))
     }
 
     /// Rebuild an estimator from persisted parts (see `persist`): the
@@ -177,7 +147,7 @@ impl IamEstimator {
             opt,
             gmm_trainers,
             nrows,
-            fused: None,
+            fused: OnceLock::new(),
             pool: infer::ScratchPool::new(),
             name: name.to_string(),
             stats: Vec::new(),
@@ -207,23 +177,11 @@ impl IamEstimator {
 
     /// Batched inference: one progressive-sampling run answering many
     /// queries in shared forward passes (§5.3, "Batch Query Inference").
+    /// Per-query seeds are drawn from the estimator's own RNG, so repeated
+    /// calls give fresh samples.
     pub fn estimate_batch(&mut self, queries: &[RangeQuery]) -> Vec<f64> {
-        if self.fused.is_none() && self.cfg.fused_layer1 {
-            self.prepare_inference();
-        }
-        let plans: Vec<_> = queries.iter().map(|q| self.schema.query_plan(q)).collect();
-        let mut scratch = self.pool.take();
-        let out = infer::estimate_batch(
-            &self.net,
-            &self.schema,
-            &plans,
-            self.cfg.samples,
-            &mut self.rng,
-            self.fused.as_ref(),
-            &mut scratch,
-        );
-        self.pool.put(scratch);
-        out
+        let seeds: Vec<u64> = queries.iter().map(|_| self.rng.random::<u64>()).collect();
+        self.estimate_seeded(queries, &seeds, 1)
     }
 
     /// Deterministic, shareable batched inference: `&self`, so a single
@@ -237,18 +195,22 @@ impl IamEstimator {
     /// bitwise-reproducible responses and a coherent result cache.
     ///
     /// `threads > 1` fans the batch out with `std::thread::scope`
-    /// (see [`infer::estimate_batch_parallel`]).
+    /// (see [`infer::estimate_batch`]).
     pub fn estimate_batch_shared(&self, queries: &[RangeQuery], threads: usize) -> Vec<f64> {
-        let plans: Vec<_> = queries.iter().map(|q| self.schema.query_plan(q)).collect();
         let salt = self.sampling_salt();
         let seeds: Vec<u64> = queries.iter().map(|q| salt ^ q.canonical_key()).collect();
-        infer::estimate_batch_parallel(
+        self.estimate_seeded(queries, &seeds, threads)
+    }
+
+    fn estimate_seeded(&self, queries: &[RangeQuery], seeds: &[u64], threads: usize) -> Vec<f64> {
+        let plans: Vec<_> = queries.iter().map(|q| self.schema.query_plan(q)).collect();
+        infer::estimate_batch(
             &self.net,
             &self.schema,
+            self.fused_tables(),
             &plans,
             self.cfg.samples,
-            &seeds,
-            self.fused.as_ref(),
+            seeds,
             threads,
             &self.pool,
         )
@@ -280,11 +242,11 @@ impl IamEstimator {
 
     /// Mutable access to the underlying AR network (testing/diagnostics:
     /// e.g. exhaustively enumerating the model's implied distribution).
-    /// Invalidates the fused inference tables — callers may mutate
+    /// Empties the fused inference tables — callers may mutate
     /// parameters, and stale tables would silently change estimates; the
     /// tables are rebuilt lazily on the next estimate call.
     pub fn net_mut(&mut self) -> &mut MadeNet {
-        self.fused = None;
+        self.fused.take();
         &mut self.net
     }
 
@@ -294,8 +256,8 @@ impl IamEstimator {
     }
 
     /// Shared read access to the AR network — the `&self` counterpart of
-    /// [`Self::net_mut`] for deterministic concurrent paths (no fused-table
-    /// invalidation, no parameter mutation).
+    /// [`Self::net_mut`] for deterministic concurrent paths (no parameter
+    /// mutation, so the fused tables stay valid).
     pub(crate) fn net_ref(&self) -> &MadeNet {
         &self.net
     }
@@ -349,6 +311,13 @@ impl Clone for IamEstimator {
 /// column-factorised, exactly the baseline IAM is compared against.
 pub fn neurocard_lite(base: IamConfig) -> IamConfig {
     IamConfig { reduce_continuous: false, ..base }
+}
+
+/// Build the fused tables of `net` and publish their resident size.
+fn build_tables(net: &MadeNet) -> FusedTables {
+    let tables = net.build_fused_tables();
+    probes::infer().table_bytes.set(tables.size_bytes() as i64);
+    tables
 }
 
 #[cfg(test)]
@@ -518,30 +487,27 @@ mod tests {
     }
 
     #[test]
-    fn quantized_precisions_stay_close_and_f32_restores_golden_bits() {
-        use crate::config::TablePrecision;
+    fn shared_estimates_rebuild_stale_tables_lazily() {
         let t = corr_table(3000, 14);
         let mut est = IamEstimator::fit(&t, quick_cfg());
         let mut gen = WorkloadGenerator::new(&t, WorkloadConfig::default(), 31);
         let rqs: Vec<RangeQuery> =
             gen.gen_queries(10).iter().map(|q| q.normalize(2).unwrap().0).collect();
-        assert_eq!(est.table_precision(), Some(TablePrecision::F32));
-        let golden = est.estimate_batch_shared(&rqs, 1);
-        for prec in [TablePrecision::F16, TablePrecision::Int8] {
-            est.set_table_precision(prec);
-            assert_eq!(est.table_precision(), Some(prec));
-            let got = est.estimate_batch_shared(&rqs, 1);
-            for (i, (g, q)) in golden.iter().zip(&got).enumerate() {
-                let qerr = iam_data::q_error(*g, *q, t.nrows());
-                assert!(qerr < 1.5, "{prec:?} query {i}: {g} vs {q} (q-error {qerr})");
+        let before = est.estimate_batch_shared(&rqs, 1);
+        // perturb the first slot's embedding table: the fused tables are
+        // built from it, so answering from the old tables keeps old bits
+        let mut first = true;
+        est.net_mut().visit_params(&mut |p, _| {
+            if std::mem::take(&mut first) {
+                p.iter_mut().for_each(|v| *v = *v * 1.5 + 0.25);
             }
-        }
-        // the f32 golden path is always rebuildable, bit for bit
-        est.set_table_precision(TablePrecision::F32);
-        let back = est.estimate_batch_shared(&rqs, 1);
-        for (a, b) in golden.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "f32 rebuild lost golden bits");
-        }
+        });
+        let mut prepared = est.clone();
+        prepared.prepare_inference();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let lazy = bits(&est.estimate_batch_shared(&rqs, 1));
+        assert_eq!(lazy, bits(&prepared.estimate_batch_shared(&rqs, 1)));
+        assert_ne!(lazy, bits(&before), "the perturbation must move some estimate");
     }
 
     #[test]

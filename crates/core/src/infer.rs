@@ -10,14 +10,14 @@
 //!
 //! # Determinism and parallelism
 //!
-//! Every query draws from its **own** RNG stream ([`estimate_batch_seeded`]
+//! Every query draws from its **own** RNG stream ([`estimate_batch`]
 //! takes one seed per query), and a query's draws happen in a fixed
 //! (slot, sample) order regardless of which other queries share the batch.
 //! Consequently a query's estimate depends only on the model and its seed —
 //! **not** on batch composition, chunking, or thread count. That invariant
 //! is what lets the serving layer coalesce arbitrary requests into
-//! micro-batches ([`estimate_batch_parallel`]) while staying bitwise
-//! reproducible, and lets cached results be reused safely.
+//! micro-batches while staying bitwise reproducible, and lets cached
+//! results be reused safely.
 //!
 //! The forward passes still run batched across all of a chunk's queries at
 //! each slot — the shared-GEMM amortisation of §5.3 ("Batch Query
@@ -71,7 +71,7 @@ impl std::hash::Hasher for PrefixHasher {
 type PrefixBuildHasher = std::hash::BuildHasherDefault<PrefixHasher>;
 
 /// Hoisted sampling state for one (query, unique-prefix) pair at one slot
-/// step of the batched sampling pass in [`estimate_batch_seeded_into`].
+/// step of the batched sampling pass in [`estimate_chunk`].
 #[derive(Debug, Clone, Copy)]
 enum Hoisted {
     /// One-token window at the index (`sample_point` fast path).
@@ -86,11 +86,11 @@ enum Hoisted {
 
 /// Reusable per-worker buffers for progressive-sampling runs: the network
 /// scratch plus every gather/dedup/softmax buffer of the slot loop. One
-/// scratch serves one [`estimate_batch_seeded_into`] call at a time;
-/// [`ScratchPool`] recycles them across micro-batches so the serving hot
-/// path allocates nothing beyond first-use growth.
+/// scratch serves one [`estimate_chunk`] call at a time; [`ScratchPool`]
+/// recycles them across micro-batches so the serving hot path allocates
+/// nothing beyond first-use growth.
 #[derive(Debug, Default)]
-pub struct QueryScratch {
+struct QueryScratch {
     nn: InferScratch,
     inputs: Vec<usize>,
     p_hat: Vec<f64>,
@@ -110,18 +110,11 @@ pub struct QueryScratch {
     id_uniq: Vec<u32>,
 }
 
-impl QueryScratch {
-    /// Fresh, empty scratch; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// A free list of [`QueryScratch`] shared by inference workers: scratch is
-/// checked out per call and returned afterwards, so repeated micro-batches
-/// (the serving layer's steady state) reuse grown buffers instead of
-/// reallocating them. Poisoning is benign — a scratch lost to a panicking
-/// worker is simply rebuilt on the next checkout.
+/// A free list of per-worker sampling buffers shared by inference workers:
+/// scratch is checked out per call and returned afterwards, so repeated
+/// micro-batches (the serving layer's steady state) reuse grown buffers
+/// instead of reallocating them. Poisoning is benign — a scratch lost to a
+/// panicking worker is simply rebuilt on the next checkout.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Mutex<Vec<QueryScratch>>,
@@ -133,7 +126,7 @@ impl ScratchPool {
         Self::default()
     }
 
-    pub(crate) fn take(&self) -> QueryScratch {
+    fn take(&self) -> QueryScratch {
         match self.free.lock() {
             Ok(mut v) => v.pop().unwrap_or_default(),
             Err(poisoned) => {
@@ -143,70 +136,91 @@ impl ScratchPool {
         }
     }
 
-    pub(crate) fn put(&self, scratch: QueryScratch) {
+    fn put(&self, scratch: QueryScratch) {
         if let Ok(mut v) = self.free.lock() {
             v.push(scratch);
         }
     }
 }
 
-/// Batched progressive-sampling estimator (sequential, caller-provided RNG).
+/// Batched progressive-sampling estimator (§5.3) with one explicit RNG
+/// seed per query: `results[q]` depends only on `(net, schema, plans[q],
+/// samples_per_query, seeds[q])` — never on the other queries in the
+/// batch, nor on `threads`.
 ///
 /// `plans[q]` is the slot-constraint plan for query `q` (`None` → provably
-/// empty, estimate 0). Returns one selectivity per query. Per-query seeds
-/// are drawn up-front from `rng`, so results are a deterministic function
-/// of the RNG state at entry.
+/// empty, estimate 0). Forwards run through `tables`, which must have been
+/// built from `net`'s current parameters. Queries are split into
+/// contiguous chunks, one `std::thread::scope` worker per chunk, all
+/// sharing the model immutably; workers write straight into disjoint
+/// chunks of one result buffer and check their scratch out of `pool`, so
+/// steady-state micro-batches reuse grown buffers across calls.
+#[allow(clippy::too_many_arguments)]
 pub fn estimate_batch(
     net: &MadeNet,
     schema: &IamSchema,
-    plans: &[Option<Vec<SlotConstraint>>],
-    samples_per_query: usize,
-    rng: &mut StdRng,
-    fused: Option<&FusedTables>,
-    scratch: &mut QueryScratch,
-) -> Vec<f64> {
-    let seeds: Vec<u64> = plans.iter().map(|_| rng.random::<u64>()).collect();
-    estimate_batch_seeded(net, schema, plans, samples_per_query, &seeds, fused, scratch)
-}
-
-/// Like [`estimate_batch`], but with one explicit RNG seed per query:
-/// `results[q]` depends only on `(net, schema, plans[q], samples_per_query,
-/// seeds[q])` — never on the other queries in the batch.
-pub fn estimate_batch_seeded(
-    net: &MadeNet,
-    schema: &IamSchema,
+    tables: &FusedTables,
     plans: &[Option<Vec<SlotConstraint>>],
     samples_per_query: usize,
     seeds: &[u64],
-    fused: Option<&FusedTables>,
-    scratch: &mut QueryScratch,
+    threads: usize,
+    pool: &ScratchPool,
 ) -> Vec<f64> {
+    assert_eq!(plans.len(), seeds.len(), "one seed per query");
     let mut results = vec![0.0f64; plans.len()];
-    estimate_batch_seeded_into(
-        net,
-        schema,
-        plans,
-        samples_per_query,
-        seeds,
-        fused,
-        scratch,
-        &mut results,
+    let threads = threads.clamp(1, plans.len().max(1));
+    if threads == 1 {
+        let mut scratch = pool.take();
+        estimate_chunk(
+            net,
+            schema,
+            tables,
+            plans,
+            samples_per_query,
+            seeds,
+            &mut scratch,
+            &mut results,
+        );
+        pool.put(scratch);
+        return results;
+    }
+    let chunk = plans.len().div_ceil(threads);
+    // the chunk decomposition must cover every query, tail chunk included:
+    // `chunks`/`chunks_mut` both emit ⌈len/chunk⌉ pieces whose lengths sum
+    // to len, and zipping three decompositions of equal-length slices keeps
+    // them aligned offset for offset
+    assert_eq!(
+        plans.chunks(chunk).map(<[_]>::len).sum::<usize>(),
+        results.len(),
+        "chunk decomposition must cover the tail chunk"
     );
+    // the trace context is thread-local; hand each fan-out thread a child
+    // context so infer spans still stitch into the caller's trace tree
+    let ctx = iam_obs::tracetree::child_ctx();
+    std::thread::scope(|s| {
+        for ((pc, sc), rc) in
+            plans.chunks(chunk).zip(seeds.chunks(chunk)).zip(results.chunks_mut(chunk))
+        {
+            s.spawn(move || {
+                let _ctx = ctx.map(iam_obs::tracetree::install);
+                let mut scratch = pool.take();
+                estimate_chunk(net, schema, tables, pc, samples_per_query, sc, &mut scratch, rc);
+                pool.put(scratch);
+            });
+        }
+    });
     results
 }
 
-/// [`estimate_batch_seeded`] writing into a caller-provided result slice —
-/// the kernel behind [`estimate_batch_parallel`]'s shared result buffer.
+/// The per-chunk kernel of [`estimate_batch`], writing into the chunk's
+/// slice of the shared result buffer.
 ///
-/// When `fused` is `Some`, forwards run through the precomputed
-/// embedding→layer-1 token tables; estimates are bitwise identical either
-/// way (see [`iam_nn::FusedTables`]). Within each slot step, sample rows
-/// with identical sampled prefixes are deduplicated and forwarded once
-/// (logits are scattered back); at the first constrained slot every live
-/// row still carries the all-MASK prefix, so the whole chunk shares a
-/// single forward row. Deduplication never changes results: the forward
-/// kernels are batch-position invariant and a row's logits depend only on
-/// its own inputs.
+/// Within each slot step, sample rows with identical sampled prefixes are
+/// deduplicated and forwarded once (logits are scattered back); at the
+/// first constrained slot every live row still carries the all-MASK
+/// prefix, so the whole chunk shares a single forward row. Deduplication
+/// never changes results: the forward kernels are batch-position invariant
+/// and a row's logits depend only on its own inputs.
 ///
 /// The softmax + weighted-sampling step is likewise batched across the
 /// prefix-deduped row set: per-window mass sums and cumulative-pick
@@ -219,13 +233,13 @@ pub fn estimate_batch_seeded(
 /// stream are never read again, so the draw and pick are skipped and only
 /// the (identical) mass factor is applied.
 #[allow(clippy::too_many_arguments)]
-pub fn estimate_batch_seeded_into(
+fn estimate_chunk(
     net: &MadeNet,
     schema: &IamSchema,
+    tables: &FusedTables,
     plans: &[Option<Vec<SlotConstraint>>],
     samples_per_query: usize,
     seeds: &[u64],
-    fused: Option<&FusedTables>,
     scratch: &mut QueryScratch,
     results: &mut [f64],
 ) {
@@ -344,13 +358,8 @@ pub fn estimate_batch_seeded_into(
         dedup_hits += (gather_rows.len() - nuniq) as u64;
 
         // compact forward over just the unique prefixes
-        match fused {
-            Some(tables) => {
-                net.forward_column_fused(tables, nn, gather_inputs, nuniq, slot, logits);
-                skipped_flops += tables.skipped_layer1_flops(nuniq);
-            }
-            None => net.forward_column_into(nn, gather_inputs, nuniq, slot, logits),
-        }
+        net.forward_column_fused(tables, nn, gather_inputs, nuniq, slot, logits);
+        skipped_flops += tables.skipped_layer1_flops(nuniq);
         let width = net.domain_size(slot);
 
         // one softmax per unique prefix, reused by every duplicate row
@@ -553,82 +562,6 @@ pub fn estimate_batch_seeded_into(
     p.layer1_skipped_flops.add(skipped_flops);
 }
 
-/// Parallel batched inference: queries are split into contiguous chunks,
-/// one `std::thread::scope` worker per chunk, all sharing the model
-/// immutably. Workers write straight into disjoint chunks of one shared
-/// result buffer (no per-worker result vectors, no final copy) and check
-/// their [`QueryScratch`] out of `pool`, so steady-state micro-batches
-/// reuse grown buffers across calls.
-///
-/// Because of the per-query seeding invariant (see module docs), the
-/// result is bitwise identical to [`estimate_batch_seeded`] with the same
-/// seeds, for every `threads` value.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_batch_parallel(
-    net: &MadeNet,
-    schema: &IamSchema,
-    plans: &[Option<Vec<SlotConstraint>>],
-    samples_per_query: usize,
-    seeds: &[u64],
-    fused: Option<&FusedTables>,
-    threads: usize,
-    pool: &ScratchPool,
-) -> Vec<f64> {
-    assert_eq!(plans.len(), seeds.len(), "one seed per query");
-    let mut results = vec![0.0f64; plans.len()];
-    let threads = threads.clamp(1, plans.len().max(1));
-    if threads == 1 {
-        let mut scratch = pool.take();
-        estimate_batch_seeded_into(
-            net,
-            schema,
-            plans,
-            samples_per_query,
-            seeds,
-            fused,
-            &mut scratch,
-            &mut results,
-        );
-        pool.put(scratch);
-        return results;
-    }
-    let chunk = plans.len().div_ceil(threads);
-    // the chunk decomposition must cover every query, tail chunk included:
-    // `chunks`/`chunks_mut` both emit ⌈len/chunk⌉ pieces whose lengths sum
-    // to len, and zipping three decompositions of equal-length slices keeps
-    // them aligned offset for offset
-    assert_eq!(
-        plans.chunks(chunk).map(<[_]>::len).sum::<usize>(),
-        results.len(),
-        "chunk decomposition must cover the tail chunk"
-    );
-    // the trace context is thread-local; hand each fan-out thread a child
-    // context so infer spans still stitch into the caller's trace tree
-    let ctx = iam_obs::tracetree::child_ctx();
-    std::thread::scope(|s| {
-        for ((pc, sc), rc) in
-            plans.chunks(chunk).zip(seeds.chunks(chunk)).zip(results.chunks_mut(chunk))
-        {
-            s.spawn(move || {
-                let _ctx = ctx.map(iam_obs::tracetree::install);
-                let mut scratch = pool.take();
-                estimate_batch_seeded_into(
-                    net,
-                    schema,
-                    pc,
-                    samples_per_query,
-                    sc,
-                    fused,
-                    &mut scratch,
-                    rc,
-                );
-                pool.put(scratch);
-            });
-        }
-    });
-    results
-}
-
 /// Append one window's `pick_in_window` accumulator to `arena`: entry `j`
 /// holds the running sum after including window value `j`, computed with
 /// the same skip-zeros sequential adds as [`pick_in_window`] — so a scan
@@ -687,7 +620,7 @@ fn pick_in_window(window: impl Iterator<Item = f64>, u: f64) -> Option<usize> {
 /// index. Returns `None` (and kills the sample) on zero mass.
 ///
 /// Reference implementation: the batched sampling pass in
-/// [`estimate_batch_seeded_into`] hoists this window's mass sum and
+/// [`estimate_chunk`] hoists this window's mass sum and
 /// cumulative walk per (query, unique prefix) via [`push_cum`] and must
 /// stay bitwise-equivalent — the equivalence tests below compare against
 /// this function.

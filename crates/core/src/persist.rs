@@ -317,14 +317,9 @@ impl IamEstimator {
         }
 
         // network parameters, flat
-        let precision = self.cfg.table_precision;
         let mut flat: Vec<f32> = Vec::new();
         self.net_mut().visit_params(&mut |p, _| flat.extend_from_slice(p));
         w_vec_f32(w, &flat)?;
-        // fused-table precision: an OPTIONAL trailer byte after the flat
-        // params — pre-PR readers consumed exactly the fields above, and
-        // pre-PR payloads simply end here, which the loader treats as F32
-        w.write_all(&[precision.tag()])?;
         // net_mut invalidated the fused tables (it must assume mutation);
         // saving only read them, so rebuild right away
         self.prepare_inference();
@@ -457,19 +452,6 @@ impl IamEstimator {
         if flat.iter().any(|x| !x.is_finite()) {
             return Err(bad("non-finite network parameter"));
         }
-        // optional fused-table precision trailer: snapshots written before
-        // the precision knob end right after the flat params (EOF → F32);
-        // unknown tags are rejected, a short garbage byte is not silently
-        // reinterpreted
-        let mut cfg = cfg;
-        let mut trailer = [0u8; 1];
-        match r.read(&mut trailer)? {
-            0 => cfg.table_precision = crate::config::TablePrecision::F32,
-            _ => {
-                cfg.table_precision = crate::config::TablePrecision::from_tag(trailer[0])
-                    .ok_or(bad("bad table-precision tag"))?;
-            }
-        }
         let mut est = IamEstimator::from_parts(cfg, schema, nrows, &name)?;
         let mut cursor = 0usize;
         let mut overflow = false;
@@ -564,30 +546,26 @@ mod tests {
     }
 
     #[test]
-    fn table_precision_round_trips_and_old_payloads_default_to_f32() {
-        use crate::config::TablePrecision;
+    fn payloads_with_the_old_precision_trailer_still_load() {
         let table = Dataset::Twi.generate(2500, 3);
         let mut est = IamEstimator::fit(&table, cfg());
-        est.set_table_precision(TablePrecision::Int8);
         let mut buf = Vec::new();
         est.save(&mut buf).unwrap();
-        let loaded = IamEstimator::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.cfg.table_precision, TablePrecision::Int8);
-        assert_eq!(loaded.table_precision(), Some(TablePrecision::Int8));
-
-        // a payload without the trailer byte (the pre-precision format)
-        // must load as the F32 golden path
-        let legacy = &buf[..buf.len() - 1];
-        let loaded = IamEstimator::load(&mut &*legacy).unwrap();
-        assert_eq!(loaded.cfg.table_precision, TablePrecision::F32);
-
-        // unknown tags are rejected, not misread
-        let mut bad = buf.clone();
-        *bad.last_mut().unwrap() = 7;
-        assert!(matches!(
-            IamEstimator::load(&mut bad.as_slice()),
-            Err(PersistError::BadFormat("bad table-precision tag"))
-        ));
+        // snapshots from the quantized-table era end in a one-byte table
+        // precision tag (0 = f32) after the flat parameters; the loader
+        // stops at the parameters, so such a payload loads unchanged
+        let mut tagged = buf.clone();
+        tagged.push(0);
+        let mut gen = WorkloadGenerator::new(&table, WorkloadConfig::default(), 5);
+        let qs: Vec<iam_data::RangeQuery> =
+            gen.gen_queries(8).iter().map(|q| q.normalize(table.ncols()).unwrap().0).collect();
+        let bits = |m: &IamEstimator| {
+            m.estimate_batch_shared(&qs, 1).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let plain = IamEstimator::load(&mut buf.as_slice()).unwrap();
+        let old = IamEstimator::load(&mut tagged.as_slice()).unwrap();
+        assert_eq!(bits(&old), bits(&plain));
+        assert_eq!(bits(&old), bits(&est));
     }
 
     #[test]

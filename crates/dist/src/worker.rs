@@ -279,7 +279,13 @@ fn accept_loop(
                     });
                 match spawned {
                     Ok(handle) => {
-                        conns.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
+                        let mut conns = conns.lock().unwrap_or_else(|p| p.into_inner());
+                        // join closed connections' threads so a long-lived
+                        // worker holds one handle per open connection
+                        for done in conns.extract_if(.., |c| c.is_finished()) {
+                            let _ = done.join();
+                        }
+                        conns.push(handle);
                     }
                     // thread exhaustion is a transient resource failure: drop
                     // this connection (the stream closes) and keep accepting
@@ -345,5 +351,24 @@ fn handle_connection(
         if stopping {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::read_msg;
+
+    #[test]
+    fn closed_connections_release_their_handles() {
+        let worker = WorkerHandle::spawn("127.0.0.1:0", WorkerConfig::default()).unwrap();
+        for _ in 0..64 {
+            let mut s = TcpStream::connect(worker.addr).unwrap();
+            write_msg(&mut s, &Msg::Ping).unwrap();
+            assert!(matches!(read_msg(&mut s, 1 << 16).unwrap(), Some(Msg::Pong)));
+        }
+        let held = worker.conns.lock().unwrap().len();
+        assert!(held <= 4, "{held} handles held after 64 closed connections");
+        worker.stop();
     }
 }

@@ -215,7 +215,13 @@ fn accept_loop(
                         let _ = handle_connection(stream, &client, &stop);
                     });
                 if let Ok(h) = handle {
-                    conns.lock().unwrap_or_else(|p| p.into_inner()).push(h);
+                    let mut conns = conns.lock().unwrap_or_else(|p| p.into_inner());
+                    // join closed connections' threads so a long-lived
+                    // front-end holds one handle per open connection
+                    for done in conns.extract_if(.., |c| c.is_finished()) {
+                        let _ = done.join();
+                    }
+                    conns.push(h);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -329,6 +335,27 @@ fn handle_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) -> i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{ServeConfig, Service};
+    use iam_core::{IamConfig, IamEstimator};
+    use std::io::Read;
+
+    #[test]
+    fn closed_connections_release_their_handles() {
+        let table = iam_data::synth::Dataset::Twi.generate(200, 1);
+        let model = IamEstimator::build(&table, IamConfig::small());
+        let svc = Service::start(model, "churn", ServeConfig::default());
+        let fe = TcpFrontend::spawn(svc.client(), "127.0.0.1:0").unwrap();
+        for _ in 0..64 {
+            let mut s = TcpStream::connect(fe.addr).unwrap();
+            s.write_all(b"QUIT\n").unwrap();
+            // the handler closes the socket on QUIT
+            s.read_to_end(&mut Vec::new()).unwrap();
+        }
+        let held = fe.conns.lock().unwrap().len();
+        assert!(held <= 4, "{held} handles held after 64 closed connections");
+        fe.stop();
+        svc.shutdown();
+    }
 
     #[test]
     fn parses_points_and_ranges() {

@@ -1,17 +1,5 @@
 #!/bin/sh
 # Regenerates every paper table/figure. Scale via IAM_BENCH_* env vars.
-#
-# Simulation mode: IAM_BENCH_SIMULATE_CORES=N runs the thread-sweeping
-# benches (table7_batch_inference, table8_training_time) with N worker
-# threads even when the host has fewer physical cores. This exercises the
-# N-core sharding/determinism paths, but the wall-clock numbers are NOT
-# comparable to a real N-core host — both benches stamp the simulated
-# count into BENCH_inference.json / BENCH_training.json next to
-# "host_parallelism" so downstream readers can tell the runs apart.
-#
-# Accuracy gates: IAM_BENCH_QUANT_BUDGET bounds the max q-error the
-# quantized (f16/int8) fused tables may show vs f32 in
-# table7_batch_inference; the bench aborts if the budget is exceeded.
 set -eux
 cargo bench -p iam-bench --bench table2_wisdm
 cargo bench -p iam-bench --bench table3_twi

@@ -12,6 +12,7 @@ use iam_data::column::{CatColumn, Column, ContColumn};
 use iam_data::query::{Interval, Op, Predicate, Query};
 use iam_data::{RangeQuery, SelectivityEstimator, Table};
 use iam_gmm::Gmm1d;
+use iam_nn::InferScratch;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -112,7 +113,7 @@ fn exhaustive_model_selectivity(est: &mut IamEstimator, rq: &RangeQuery) -> f64 
             };
         }
         let mut logits = Vec::new();
-        net.forward_column(&inputs, 1, slot, &mut logits);
+        net.forward_column_into(&mut InferScratch::new(), &inputs, 1, slot, &mut logits);
         let mut probs = Vec::new();
         net.row_softmax(&logits, 0, net.domain_size(slot), &mut probs);
         probs.iter().map(|&p| p as f64).collect()
