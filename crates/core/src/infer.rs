@@ -532,27 +532,14 @@ fn estimate_chunk(
     }
 
     let p = probes::infer();
-    let trace_on = iam_obs::trace::active();
     let mut dead_samples = 0u64;
     for (li, &q) in live.iter().enumerate() {
         let block = &p_hat[li * sp..(li + 1) * sp];
-        let dead = block.iter().filter(|&&x| x == 0.0).count() as u64;
-        dead_samples += dead;
+        dead_samples += block.iter().filter(|&&x| x == 0.0).count() as u64;
         results[q] = (block.iter().sum::<f64>() / sp as f64).clamp(0.0, 1.0);
         crate::invariant::check_selectivity(results[q], "progressive-sampling estimate");
         p.samples_per_query.observe(sp as u64);
         p.renorm_mass_ppm.observe((results[q] * 1e6) as u64);
-        if trace_on {
-            iam_obs::trace::event(
-                "infer.query",
-                &[
-                    ("samples", iam_obs::Value::U64(sp as u64)),
-                    ("dead_samples", iam_obs::Value::U64(dead)),
-                    ("estimate", iam_obs::Value::F64(results[q])),
-                    ("seed", iam_obs::Value::U64(seeds[q])),
-                ],
-            );
-        }
     }
     p.queries.add(live.len() as u64);
     p.samples.add(rows as u64);

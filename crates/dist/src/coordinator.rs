@@ -542,15 +542,6 @@ impl Coordinator {
         crate::stats::merge_expositions(&parts)
     }
 
-    /// Drain every buffered span — the coordinator's own plus the worker
-    /// spans absorbed from reply envelopes — and render the merged JSONL
-    /// trace and folded stacks. One scattered batch with tracing on shows
-    /// up here as a single trace id whose tree spans both processes.
-    pub fn drain_traces(&self) -> (String, String) {
-        let records = iam_obs::tracetree::drain();
-        (iam_obs::tracetree::to_jsonl(&records), iam_obs::tracetree::folded_stacks(&records))
-    }
-
     /// Ask every worker to drain and exit; best effort (already-dead
     /// workers are ignored).
     pub fn shutdown_cluster(&self) {

@@ -100,7 +100,7 @@ fn scattered_batch_stitches_into_one_trace_tree() {
         }
     }
     // shipping traced too — flush those spans before the batch under test
-    let _ = coord.drain_traces();
+    tracetree::reset();
 
     // --- the batch under test: 2 queries per table, one scatter ---------
     let batch: Vec<ClusterQuery> = tables
@@ -113,14 +113,14 @@ fn scattered_batch_stitches_into_one_trace_tree() {
         r.expect("healthy cluster answers everything");
     }
 
-    let (jsonl, folded) = coord.drain_traces();
-
-    // --- JSONL schema round-trips -----------------------------------------
-    let records: Vec<SpanRecord> = jsonl
-        .lines()
-        .map(|l| SpanRecord::from_json_line(l).unwrap_or_else(|| panic!("bad trace line {l:?}")))
-        .collect();
+    // the coordinator's own spans plus the worker spans absorbed from
+    // reply envelopes
+    let records = tracetree::drain();
     assert!(!records.is_empty(), "tracing produced no records");
+    let jsonl = tracetree::to_jsonl(&records);
+    assert_eq!(jsonl.lines().count(), records.len(), "one JSONL line per span");
+    assert!(jsonl.lines().all(|l| l.starts_with("{\"event\":\"span\",")), "{jsonl}");
+    let folded = tracetree::folded_stacks(&records);
 
     // --- a single stitched trace ------------------------------------------
     let trace_ids = TraceTree::trace_ids(&records);
@@ -200,9 +200,7 @@ fn scattered_batch_stitches_into_one_trace_tree() {
     for r in coord.estimate_batch(&batch) {
         r.expect("second batch");
     }
-    let (jsonl2, _) = coord.drain_traces();
-    let records2: Vec<SpanRecord> = jsonl2.lines().filter_map(SpanRecord::from_json_line).collect();
-    let ids2 = TraceTree::trace_ids(&records2);
+    let ids2 = TraceTree::trace_ids(&tracetree::drain());
     assert_eq!(ids2.len(), 1);
     assert_ne!(ids2[0], trace_ids[0], "each batch gets its own trace id");
 

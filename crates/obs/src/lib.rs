@@ -1,41 +1,36 @@
 //! iam-obs — workspace-wide observability for the IAM pipeline (std-only,
 //! no external dependencies).
 //!
-//! Three layers, each usable alone:
+//! Two layers:
 //!
 //! * [`registry`] — a shard-friendly metrics registry: [`Counter`],
 //!   [`Gauge`], [`FloatGauge`] and fixed-bucket [`Histogram`] instruments
 //!   behind `Arc` handles (relaxed atomics on the hot path, a lock only at
-//!   registration), with Prometheus text exposition and one-line JSON
-//!   snapshots for JSONL appends. [`Registry::global`] hosts the
-//!   process-wide probes; subsystems that need isolation (the serving
-//!   layer, tests) instantiate their own.
-//! * [`span`](mod@span) — hierarchical wall-time spans
-//!   (`let _g = iam_obs::span!("infer.progressive_sample");`) aggregated
-//!   per stack path. Off by default; when enabled, exits fold into a
-//!   process-wide table dumped as flamegraph-compatible folded stacks
-//!   ([`span::folded_stacks`]) and mirrored into the global registry as
-//!   `iam_span_us_total{span=…}` counters.
-//! * [`trace`] — JSONL trace events ([`trace::event`]) through an
-//!   installable sink: per-epoch training losses, per-query inference
-//!   stats, registry snapshots. A no-op (one atomic load) until a sink is
-//!   installed.
+//!   registration), with Prometheus text exposition. [`Registry::global`]
+//!   hosts the process-wide probes; subsystems that need isolation (the
+//!   serving layer, tests) instantiate their own.
+//! * spans with trace trees — [`span`](mod@span) guards
+//!   (`let _g = iam_obs::span!("infer.progressive_sample");`) aggregate
+//!   wall time per stack path. Off by default; when enabled, exits fold
+//!   into a process-wide table dumped as flamegraph-compatible folded
+//!   stacks ([`span::folded_stacks`]) and mirrored into the global
+//!   registry as `iam_span_us_total{span=…}` counters. The same guards
+//!   feed [`tracetree`]: while a [`TraceCtx`] (128-bit trace id + parent
+//!   span id) is installed on a thread and tree recording is enabled,
+//!   every guard also records a [`SpanRecord`] with explicit parent links,
+//!   so span trees from coordinator, workers and serve processes stitch
+//!   into one tree ([`tracetree::TraceTree`]), exported as JSONL
+//!   ([`tracetree::to_jsonl`]) or folded stacks
+//!   ([`tracetree::folded_stacks`]). Ids are SplitMix64-seeded —
+//!   deterministic, no ambient entropy.
 //!
-//! Two cluster-facing layers build on those:
-//!
-//! * [`tracetree`] — distributed trace trees: a [`TraceCtx`] (128-bit
-//!   trace id + parent span id) installed per thread makes every `span!`
-//!   guard additionally record a [`SpanRecord`] with explicit parent
-//!   links, so span trees from coordinator, workers and serve processes
-//!   stitch into one tree ([`tracetree::TraceTree`], JSONL + folded
-//!   stacks). Ids are SplitMix64-seeded — deterministic, no ambient
-//!   entropy.
-//! * [`qerror`] — served-accuracy tracking: reservoir-sampled estimate
-//!   records resolved against later truth reports into q-error histograms
-//!   and per-column error gauges, all landing in an ordinary [`Registry`].
+//! [`qerror`] builds served-accuracy tracking on the registry:
+//! reservoir-sampled estimate records resolved against later truth reports
+//! into q-error histograms and per-column error gauges, all landing in an
+//! ordinary [`Registry`].
 //!
 //! The probes wired through `iam-core` and `iam-serve` all funnel into
-//! these three; see the README's "Observability" section for how to scrape
+//! these layers; see the README's "Observability" section for how to scrape
 //! and read them.
 
 #![deny(missing_docs)]
@@ -43,11 +38,17 @@
 pub mod qerror;
 pub mod registry;
 pub mod span;
-pub mod trace;
 pub mod tracetree;
 
 pub use qerror::{QErrorTracker, QRecord};
 pub use registry::{fmt_bound, Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use span::{SpanAgg, SpanGuard};
-pub use trace::{SharedBuf, Value};
 pub use tracetree::{SpanRecord, TraceCtx, TraceIdGen};
+
+/// Serializes the tests that flip the process-global span and trace-tree
+/// flags or touch the trace-record buffer.
+#[cfg(test)]
+pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

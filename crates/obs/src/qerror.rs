@@ -13,10 +13,11 @@
 //!    `REPORT <qid> <true_count>` onto this), which resolves the pair into
 //!    a q-error observation.
 //!
-//! Observations land in ordinary registry instruments so both Prometheus
-//! and JSONL expositions pick them up with no extra plumbing: a fixed-
-//! bucket histogram `iam_qerror_milli` (q-error × 1000, so p50/p95/p99 come
-//! from the existing [`HistogramSnapshot::quantile`] machinery) and
+//! Observations land in ordinary registry instruments so both the
+//! Prometheus and the serve `STATS` expositions pick them up with no extra
+//! plumbing: a fixed-bucket histogram `iam_qerror_milli` (q-error × 1000,
+//! so p50/p95/p99 come from the existing [`HistogramSnapshot::quantile`]
+//! machinery) and
 //! per-column `iam_qerror_col_mean` / `iam_qerror_col_max` gauges that
 //! attribute error to the columns a predicate constrained.
 //!

@@ -195,11 +195,17 @@ pub fn report() -> Vec<(String, SpanAgg)> {
 /// per aggregated stack, sorted by path. Feed to `flamegraph.pl` or
 /// speedscope ("folded" format) directly.
 pub fn folded_stacks() -> String {
+    render_folded(report().iter().map(|(path, agg)| (path.as_str(), agg.self_us)))
+}
+
+/// Render `(path, self µs)` pairs as folded-stacks lines, in the given
+/// order.
+pub(crate) fn render_folded<'a>(lines: impl Iterator<Item = (&'a str, u64)>) -> String {
     let mut out = String::new();
-    for (path, agg) in report() {
-        out.push_str(&path);
+    for (path, us) in lines {
+        out.push_str(path);
         out.push(' ');
-        out.push_str(&agg.self_us.to_string());
+        out.push_str(&us.to_string());
         out.push('\n');
     }
     out
@@ -217,11 +223,8 @@ mod tests {
     use std::time::Duration;
 
     // span tests share the process-global aggregate and enable flag, so they
-    // must not run concurrently with each other
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // must not run concurrently with each other (or with the trace-tree tests)
+    use crate::test_serial as serial;
 
     #[test]
     fn disabled_spans_record_nothing() {

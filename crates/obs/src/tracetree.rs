@@ -22,10 +22,11 @@
 //! `enable()` was called *and* a context is installed, and an idle check is
 //! one relaxed atomic load.
 
+use crate::registry::{Counter, Registry};
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Advance a SplitMix64 state and return the next draw — the workspace's
@@ -118,7 +119,13 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static SPAN_SEQ: AtomicU64 = AtomicU64::new(1);
 /// Bound on buffered records; beyond it records are dropped and counted.
 const BUF_CAP: usize = 65_536;
-static DROPPED: AtomicU64 = AtomicU64::new(0);
+
+/// `iam_trace_records_dropped_total` in the global registry: records lost
+/// to a full buffer, so a truncated tree is visible in scrapes.
+fn dropped_records() -> &'static Counter {
+    static DROPPED: OnceLock<Arc<Counter>> = OnceLock::new();
+    DROPPED.get_or_init(|| Registry::global().counter("iam_trace_records_dropped_total", &[]))
+}
 
 fn buffer() -> &'static Mutex<Vec<SpanRecord>> {
     static BUF: OnceLock<Mutex<Vec<SpanRecord>>> = OnceLock::new();
@@ -143,8 +150,10 @@ pub fn process_label() -> String {
 }
 
 /// Turn trace-tree recording on (idempotent). Spans still only record
-/// while a [`TraceCtx`] is installed on their thread.
+/// while a [`TraceCtx`] is installed on their thread. Registers
+/// `iam_trace_records_dropped_total`, so scrapes show it from 0.
 pub fn enable() {
+    dropped_records();
     ENABLED.store(true, Relaxed);
 }
 
@@ -167,12 +176,6 @@ thread_local! {
 #[inline]
 pub fn current() -> Option<TraceCtx> {
     CURRENT.with(|c| c.get())
-}
-
-/// Is this thread actively recording (enabled + context installed)?
-#[inline]
-pub fn armed() -> bool {
-    enabled() && current().is_some()
 }
 
 /// The context a *child* (a queued request, a scatter thread, a remote
@@ -239,35 +242,29 @@ pub(crate) fn unix_us_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Push one completed record into the process buffer (bounded; overflow
-/// drops the record and counts it — tracing must never grow unbounded).
-pub(crate) fn record(rec: SpanRecord) {
+/// Append records to the process buffer up to [`BUF_CAP`]; the overflow
+/// is dropped and counted — tracing must never grow unbounded.
+fn push_bounded(records: impl ExactSizeIterator<Item = SpanRecord>) {
     let mut buf = buffer().lock().unwrap_or_else(|p| p.into_inner());
-    if buf.len() >= BUF_CAP {
-        DROPPED.fetch_add(1, Relaxed);
-        return;
+    let room = BUF_CAP.saturating_sub(buf.len());
+    let lost = records.len().saturating_sub(room);
+    buf.extend(records.take(room));
+    if lost > 0 {
+        dropped_records().add(lost as u64);
     }
-    buf.push(rec);
+}
+
+/// Push one completed record into the process buffer.
+pub(crate) fn record(rec: SpanRecord) {
+    push_bounded(std::iter::once(rec));
 }
 
 /// Merge records produced by *another* process (a worker's piggybacked
 /// span buffer) into this process's buffer, so one [`drain`] yields the
 /// stitched cluster-wide trace. Subject to the same bound as local
-/// records — overflow drops and counts.
+/// records.
 pub fn absorb(records: Vec<SpanRecord>) {
-    let mut buf = buffer().lock().unwrap_or_else(|p| p.into_inner());
-    for rec in records {
-        if buf.len() >= BUF_CAP {
-            DROPPED.fetch_add(1, Relaxed);
-            continue;
-        }
-        buf.push(rec);
-    }
-}
-
-/// Records dropped on buffer overflow since process start.
-pub fn dropped() -> u64 {
-    DROPPED.load(Relaxed)
+    push_bounded(records.into_iter());
 }
 
 /// Drain every buffered record.
@@ -302,10 +299,6 @@ fn fmt_trace_id(id: u128) -> String {
     format!("{id:032x}")
 }
 
-fn parse_trace_id(s: &str) -> Option<u128> {
-    (s.len() == 32).then(|| u128::from_str_radix(s, 16).ok()).flatten()
-}
-
 impl SpanRecord {
     /// Render as one `{"event":"span",…}` JSONL line (no trailing newline).
     /// Schema: `trace` (32 hex chars), `span`/`parent` (decimal u64),
@@ -317,116 +310,26 @@ impl SpanRecord {
             fmt_trace_id(self.trace_id),
             self.span_id,
             self.parent_span,
-            crate::trace::json_escape(&self.name),
-            crate::trace::json_escape(&self.proc),
+            json_escape(&self.name),
+            json_escape(&self.proc),
             self.start_unix_us,
             self.dur_us,
         )
     }
-
-    /// Parse a line produced by [`SpanRecord::to_json_line`]. Returns
-    /// `None` for anything that is not a well-formed span event — the
-    /// reader side of the schema round-trip the trace tests pin.
-    pub fn from_json_line(line: &str) -> Option<SpanRecord> {
-        let line = line.trim();
-        let body = line.strip_prefix('{')?.strip_suffix('}')?;
-        let mut trace = None;
-        let mut span = None;
-        let mut parent = None;
-        let mut name = None;
-        let mut proc_ = None;
-        let mut start = None;
-        let mut dur = None;
-        let mut is_span_event = false;
-        for (k, v) in split_json_fields(body) {
-            match k.as_str() {
-                "event" => is_span_event = v == "\"span\"",
-                "trace" => trace = parse_trace_id(v.strip_prefix('"')?.strip_suffix('"')?),
-                "span" => span = v.parse().ok(),
-                "parent" => parent = v.parse().ok(),
-                "name" => name = Some(json_unescape(v.strip_prefix('"')?.strip_suffix('"')?)),
-                "proc" => proc_ = Some(json_unescape(v.strip_prefix('"')?.strip_suffix('"')?)),
-                "start_us" => start = v.parse().ok(),
-                "dur_us" => dur = v.parse().ok(),
-                _ => {}
-            }
-        }
-        if !is_span_event {
-            return None;
-        }
-        Some(SpanRecord {
-            trace_id: trace?,
-            span_id: span?,
-            parent_span: parent?,
-            name: name?,
-            proc: proc_?,
-            start_unix_us: start?,
-            dur_us: dur?,
-        })
-    }
 }
 
-/// Split a flat JSON object body into `(key, raw_value)` pairs. Only the
-/// flat string/number shape [`SpanRecord::to_json_line`] emits is
-/// supported; nested objects are not (and not needed).
-fn split_json_fields(body: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let Some(key_start) = rest.find('"') else { break };
-        let Some(key_len) = rest[key_start + 1..].find('"') else { break };
-        let key = rest[key_start + 1..key_start + 1 + key_len].to_string();
-        let Some(colon) = rest[key_start + 1 + key_len..].find(':') else { break };
-        rest = &rest[key_start + key_len + colon + 2..];
-        // value: a quoted string (escapes respected) or a bare token
-        let value;
-        if let Some(r) = rest.strip_prefix('"') {
-            let mut end = None;
-            let mut escaped = false;
-            for (i, c) in r.char_indices() {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let Some(end) = end else { break };
-            value = format!("\"{}\"", &r[..end]);
-            rest = &r[end + 1..];
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            value = rest[..end].trim().to_string();
-            rest = &rest[end..];
-        }
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-        out.push((key, value));
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> String {
+/// Escape a string for inclusion inside a JSON string literal.
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
     out
@@ -514,70 +417,57 @@ impl<'a> TraceTree<'a> {
     }
 
     /// Folded-stacks dump of this tree: one `name;…;name self_µs` line per
-    /// path with nonzero self time, `proc:name` frames, sorted by path —
-    /// the flamegraph view of one distributed request.
+    /// path, `proc:name` frames, sorted by path with repeated paths summed
+    /// — the flamegraph view of one distributed request.
     pub fn folded_stacks(&self) -> String {
-        let mut lines: Vec<(String, u64)> = Vec::new();
-        let mut stack: Vec<String> = Vec::new();
-        for &root in &self.roots {
-            self.fold_into(root, &mut stack, &mut lines);
-        }
-        lines.sort();
-        let mut out = String::new();
-        for (path, us) in lines {
-            out.push_str(&path);
-            out.push(' ');
-            out.push_str(&us.to_string());
-            out.push('\n');
-        }
-        out
+        let mut folded = BTreeMap::new();
+        self.fold_into(&mut folded);
+        crate::span::render_folded(folded.iter().map(|(path, &us)| (path.as_str(), us)))
     }
 
-    fn fold_into(&self, idx: usize, stack: &mut Vec<String>, lines: &mut Vec<(String, u64)>) {
+    /// Add every path of this tree to `folded` with its self time, summing
+    /// into paths already present.
+    fn fold_into(&self, folded: &mut BTreeMap<String, u64>) {
+        let mut stack = Vec::new();
+        for &root in &self.roots {
+            self.fold_span(root, &mut stack, folded);
+        }
+    }
+
+    fn fold_span(&self, idx: usize, stack: &mut Vec<String>, folded: &mut BTreeMap<String, u64>) {
         let r = self.records[idx];
         stack.push(format!("{}:{}", r.proc, r.name));
-        let child_idxs = self.children.get(&r.span_id).cloned().unwrap_or_default();
+        let child_idxs = self.children.get(&r.span_id).map(Vec::as_slice).unwrap_or_default();
         let child_us: u64 =
             child_idxs.iter().map(|&i| self.records[i].dur_us).fold(0, u64::saturating_add);
         let self_us = r.dur_us.saturating_sub(child_us);
-        lines.push((stack.join(";"), self_us));
-        for i in child_idxs {
-            self.fold_into(i, stack, lines);
+        let e = folded.entry(stack.join(";")).or_insert(0);
+        *e = e.saturating_add(self_us);
+        for &i in child_idxs {
+            self.fold_span(i, stack, folded);
         }
         stack.pop();
     }
 }
 
-/// Folded stacks across every trace in `records`, concatenated in trace-id
-/// order (each trace folds independently; identical paths from different
-/// traces stay on separate lines only if their values differ — they are
-/// merged by summing otherwise).
+/// Folded stacks across every trace in `records`: each trace folds
+/// independently and identical paths from different traces are summed
+/// into one line.
 pub fn folded_stacks(records: &[SpanRecord]) -> String {
-    use std::collections::BTreeMap;
-    let mut merged: BTreeMap<String, u64> = BTreeMap::new();
+    let mut folded = BTreeMap::new();
     for id in TraceTree::trace_ids(records) {
-        let tree = TraceTree::build(records, id);
-        for line in tree.folded_stacks().lines() {
-            if let Some((path, us)) = line.rsplit_once(' ') {
-                if let Ok(us) = us.parse::<u64>() {
-                    *merged.entry(path.to_string()).or_insert(0) += us;
-                }
-            }
-        }
+        TraceTree::build(records, id).fold_into(&mut folded);
     }
-    let mut out = String::new();
-    for (path, us) in merged {
-        out.push_str(&path);
-        out.push(' ');
-        out.push_str(&us.to_string());
-        out.push('\n');
-    }
-    out
+    crate::span::render_folded(folded.iter().map(|(path, &us)| (path.as_str(), us)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    // tests that touch the process buffer, the process label or the global
+    // enable flags share one lock with the span tests
+    use crate::test_serial as serial;
+    use std::time::Duration;
 
     fn rec(trace: u128, span: u64, parent: u64, name: &str, proc_: &str, dur: u64) -> SpanRecord {
         SpanRecord {
@@ -607,29 +497,38 @@ mod tests {
     }
 
     #[test]
-    fn json_line_round_trips_exactly() {
+    fn span_json_lines_pin_schema_and_order() {
         let r = rec(0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233, 7, 3, "dist.rpc", "worker-1", 250);
-        let line = r.to_json_line();
-        assert!(line.starts_with("{\"event\":\"span\""), "{line}");
-        assert_eq!(SpanRecord::from_json_line(&line), Some(r));
-        // hostile / foreign lines parse to None, never panic
-        assert_eq!(SpanRecord::from_json_line("{\"event\":\"train.epoch\",\"epoch\":1}"), None);
-        assert_eq!(SpanRecord::from_json_line("not json"), None);
-        assert_eq!(SpanRecord::from_json_line("{}"), None);
-        // escaped names survive the round trip
-        let mut odd = rec(1, 2, 0, "a\"b\\c", "p\nq", 1);
-        odd.start_unix_us = 9;
-        let back = SpanRecord::from_json_line(&odd.to_json_line()).unwrap();
-        assert_eq!(back, odd);
+        assert_eq!(
+            r.to_json_line(),
+            "{\"event\":\"span\",\"trace\":\"deadbeef0123456789abcdef00112233\",\"span\":7,\
+             \"parent\":3,\"name\":\"dist.rpc\",\"proc\":\"worker-1\",\"start_us\":7,\
+             \"dur_us\":250}"
+        );
+        // names and labels are escaped
+        let odd = rec(1, 2, 0, "a\"b\\c", "p\nq", 1);
+        assert_eq!(
+            odd.to_json_line(),
+            "{\"event\":\"span\",\"trace\":\"00000000000000000000000000000001\",\"span\":2,\
+             \"parent\":0,\"name\":\"a\\\"b\\\\c\",\"proc\":\"p\\nq\",\"start_us\":2,\
+             \"dur_us\":1}"
+        );
+        // one line per record, ordered by (trace, start, span id) whatever
+        // the arrival order
+        let records = vec![
+            rec(6, 1, 0, "other", "coord", 5),
+            rec(5, 2, 1, "child", "worker-0", 40),
+            rec(5, 1, 0, "root", "coord", 100),
+        ];
+        let expected: String =
+            [&records[2], &records[1], &records[0]].map(|r| r.to_json_line() + "\n").concat();
+        assert_eq!(to_jsonl(&records), expected);
     }
 
     #[test]
-    fn jsonl_document_round_trips_per_line() {
-        let records =
-            vec![rec(5, 1, 0, "root", "coord", 100), rec(5, 2, 1, "child", "worker-0", 40)];
-        let doc = to_jsonl(&records);
-        let parsed: Vec<SpanRecord> = doc.lines().filter_map(SpanRecord::from_json_line).collect();
-        assert_eq!(parsed, records);
+    fn escape_handles_control_chars() {
+        assert_eq!(json_escape("a\nb\t\"c\\"), "a\\nb\\t\\\"c\\\\");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -685,6 +584,7 @@ mod tests {
 
     #[test]
     fn span_ids_differ_across_process_labels() {
+        let _s = serial();
         // same trace, same sequence position, different label → different id
         set_process_label("proc-a");
         let a = alloc_span_id(77);
@@ -712,6 +612,7 @@ mod tests {
 
     #[test]
     fn drain_trace_leaves_other_traces() {
+        let _s = serial();
         reset();
         record(rec(100, 1, 0, "a", "p", 1));
         record(rec(200, 2, 0, "b", "p", 1));
@@ -722,5 +623,63 @@ mod tests {
         let rest = drain();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].trace_id, 200);
+    }
+
+    #[test]
+    fn buffer_overflow_counts_dropped_records() {
+        let _s = serial();
+        reset();
+        let dropped = || Registry::global().counter("iam_trace_records_dropped_total", &[]).get();
+        let before = dropped();
+        for i in 0..BUF_CAP as u64 + 1 {
+            record(rec(1, i + 1, 0, "s", "p", 1));
+        }
+        absorb(vec![rec(2, 1, 0, "r", "w", 1), rec(2, 2, 1, "r", "w", 1)]);
+        assert_eq!(dropped() - before, 3, "one local and two absorbed records overflowed");
+        assert_eq!(drain().len(), BUF_CAP);
+    }
+
+    #[test]
+    fn stalled_stage_is_the_heaviest_folded_line() {
+        let _s = serial();
+        crate::span::enable();
+        enable();
+        crate::span::reset();
+        reset();
+        let stalled = {
+            let _ctx = install(TraceCtx::root(TraceIdGen::new(3).next_trace_id()));
+            let _root = crate::span!("stage.root");
+            {
+                let _fast = crate::span!("stage.fast");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // handed off like a queued request: another thread, parented
+            // under the root through child_ctx()
+            let ctx = child_ctx();
+            std::thread::spawn(move || {
+                let _ctx = ctx.map(install);
+                let _g = crate::span!("stage.stalled");
+                std::thread::sleep(Duration::from_millis(30));
+            })
+        };
+        stalled.join().expect("stalled stage thread");
+        crate::span::disable();
+        disable();
+
+        let folded = folded_stacks(&drain());
+        let (path, us) = folded
+            .lines()
+            .map(|l| l.rsplit_once(' ').expect("path value"))
+            .max_by_key(|(_, us)| us.parse::<u64>().expect("numeric self time"))
+            .expect("trace recorded");
+        let label = process_label();
+        assert_eq!(path, format!("{label}:stage.root;{label}:stage.stalled"), "{folded}");
+        assert!(us.parse::<u64>().unwrap() >= 30_000, "{folded}");
+
+        let report = crate::span::report();
+        let (agg_path, agg) =
+            report.iter().max_by_key(|(_, a)| a.self_us).expect("spans aggregated");
+        assert_eq!(agg_path, "stage.stalled", "{report:?}");
+        assert!(agg.self_us >= 30_000, "{report:?}");
     }
 }

@@ -307,9 +307,9 @@ impl MetricsSnapshot {
         line("latency_us_max", self.latency_max_us.to_string());
         line("batch_size_mean", format!("{:.2}", self.mean_batch));
         line("batch_size_max", self.max_batch.to_string());
-        // bucket keys are sorted by bound before emit so this view, the
-        // Prometheus exposition, and the JSONL snapshot all agree on
-        // ordering — cross-exposition consistency asserts depend on it
+        // bucket keys are sorted by bound before emit so this view and the
+        // Prometheus exposition agree on ordering — cross-exposition
+        // consistency asserts depend on it
         let mut batch_buckets = self.batch_buckets.clone();
         batch_buckets.sort_by_key(|&(bound, _)| bound);
         for (bound, count) in batch_buckets {
